@@ -2561,7 +2561,7 @@ impl FilterEngine {
         if (ei as usize) < self.flat_programs.len() {
             return self.flat_programs.execute(ei, ctx, runs);
         }
-        if expr.preds.iter().any(|&pid| ctx.get(pid).is_empty()) {
+        if !expr.preds.iter().all(|&pid| ctx.is_matched(pid)) {
             return false;
         }
         *runs += 1;
@@ -2710,7 +2710,7 @@ impl FilterEngine {
         // Already known matched on this path via covering propagation?
         // Then its sinks were already processed.
         let mut matched_here = !evaluate;
-        if evaluate && !chain.iter().any(|&pid| ctx.get(pid).is_empty()) {
+        if evaluate && chain.iter().all(|&pid| ctx.is_matched(pid)) {
             stats.occurrence_runs += 1;
             matched_here = determine_match_by(chain.len(), |i| ctx.get(chain[i]));
         }
@@ -2837,16 +2837,16 @@ impl FilterEngine {
         }
         let packed = &self.trie.packed;
         for (i, &pid) in packed.root_pid.iter().enumerate() {
+            if !ctx.is_matched(pid) {
+                // Access predicate unsatisfied: the entire cluster is
+                // ruled out without touching its expressions.
+                continue;
+            }
             let root = packed.root_node[i];
             if state.node_done.test(root as usize, state.doc_epoch) {
                 continue;
             }
             let pairs = ctx.get(pid);
-            if pairs.is_empty() {
-                // Access predicate unsatisfied: the entire cluster is
-                // ruled out without touching its expressions.
-                continue;
-            }
             let mut f: u128 = 0;
             for &(_, o2) in pairs {
                 f |= 1u128 << o2;
@@ -2938,6 +2938,18 @@ impl FilterEngine {
         let mut all_done = !has_sinks || state.node_sinks_done.test(n as usize, state.doc_epoch);
         let (child_pids, child_nodes) = packed.children(n);
         for (&cpid, &child) in child_pids.iter().zip(child_nodes) {
+            // Satisfied first: most children fail here on one bit test,
+            // before any per-node or per-predicate state is read. An
+            // unsatisfied child is not visited, but unless it is already
+            // done it still keeps this node open — it may be reached on a
+            // later path — so its `node_done` is read while that can
+            // still change the answer.
+            if !ctx.is_matched(cpid) {
+                if all_done && !state.node_done.test(child as usize, state.doc_epoch) {
+                    all_done = false;
+                }
+                continue;
+            }
             if state.node_done.test(child as usize, state.doc_epoch) {
                 continue;
             }
@@ -3104,15 +3116,15 @@ impl FilterEngine {
         let packed = &self.trie.packed;
         if packed.root_pid.len() <= ctx.matched().len() {
             for (i, &pid) in packed.root_pid.iter().enumerate() {
-                let root = packed.root_node[i];
-                let pairs = ctx.get(pid);
-                if pairs.is_empty() {
+                if !ctx.is_matched(pid) {
                     continue;
                 }
                 stats.ap_root_probes += 1;
+                let root = packed.root_node[i];
                 if state.node_done.test(root as usize, state.doc_epoch) {
                     continue;
                 }
+                let pairs = ctx.get(pid);
                 let mut f: u128 = 0;
                 for &(_, o2) in pairs {
                     f |= 1u128 << o2;
@@ -3392,6 +3404,42 @@ mod tests {
                         "{algo:?}/{mode:?} over {d}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `dfs_node` skips a child whose predicate is unsatisfied on the
+    /// current path, but that child may still be reached on a later path
+    /// of the same document. Unless it is already done it must keep its
+    /// parent (and so every ancestor) from being marked `node_done`;
+    /// otherwise the later path never enters the cluster. Each case has
+    /// an early path that satisfies the parent but not the child, and a
+    /// later path that satisfies both.
+    #[test]
+    fn unsatisfied_open_child_keeps_parent_open() {
+        let cases: [(&[&str], &str); 4] = [
+            // Parent without sinks.
+            (&["/a//b/c"], "<a><b/><b><c/></b></a>"),
+            // Parent whose own sinks resolve on the early path.
+            (&["/a/b", "/a/b/c"], "<a><b/><b><c/></b></a>"),
+            // Two levels of still-open descendants.
+            (&["/a/b/c/d"], "<a><b><c/></b><b><c><d/></c></b></a>"),
+            // The open child sits under the cluster root itself.
+            (&["/a/b", "/a/c"], "<a><b/><c/></a>"),
+        ];
+        for stage2 in [Stage2::Posting, Stage2::Scan] {
+            for (exprs, xml) in cases {
+                let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+                engine.set_stage2(stage2);
+                let subs: Vec<SubId> = exprs
+                    .iter()
+                    .map(|e| engine.add(&parse(e).unwrap()).unwrap())
+                    .collect();
+                assert_eq!(
+                    engine.match_document(&doc(xml)),
+                    subs,
+                    "{stage2:?}: {exprs:?} over {xml}"
+                );
             }
         }
     }

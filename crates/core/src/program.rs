@@ -97,13 +97,12 @@ impl PredPrograms {
             return false;
         }
         // Fail-fast pre-scan before touching any slot storage: in scan
-        // mode the overwhelmingly common outcome is an empty list on the
-        // first slot or two, and initializing the slot array up front
-        // costs more than the whole rejected probe.
-        for &pid in ops {
-            if ctx.get(pid).is_empty() {
-                return false;
-            }
+        // mode the overwhelmingly common outcome is an unsatisfied
+        // predicate on the first slot or two (one bit test each), and
+        // initializing the slot array up front costs more than the whole
+        // rejected probe.
+        if !ops.iter().all(|&pid| ctx.is_matched(pid)) {
+            return false;
         }
         *runs += 1;
         if n <= STACK_LEVELS {

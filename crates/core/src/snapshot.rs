@@ -405,9 +405,10 @@ mod tests {
         let mut publisher = SnapshotPublisher::new(FilterEngine::default());
         let handle = publisher.handle();
         let stop = std::sync::atomic::AtomicBool::new(false);
+        let polled = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let poller_handle = handle.clone();
-            let stop = &stop;
+            let (stop, polled) = (&stop, &polled);
             let poller = scope.spawn(move || {
                 let mut last = 0u64;
                 let mut reads = 0u64;
@@ -416,9 +417,15 @@ mod tests {
                     assert!(e >= last, "epoch went backwards: {last} -> {e}");
                     last = e;
                     reads += 1;
+                    polled.store(true, Ordering::Release);
                 }
                 (last, reads)
             });
+            // The publishes can all finish before the poller thread first
+            // runs; wait for one read so the poll really overlaps them.
+            while !polled.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
             for _ in 0..200 {
                 let s = publisher.add_str("/a/b").unwrap();
                 publisher.publish();

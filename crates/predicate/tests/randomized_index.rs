@@ -2,7 +2,9 @@
 //! direct per-predicate evaluation (the §4.1.1 rules applied naively).
 //! Seeded randomized sweep (in-tree PRNG).
 
-use pxf_predicate::{eval_direct, MatchContext, PosOp, Predicate, PredicateIndex, Publication};
+use pxf_predicate::{
+    eval_direct, CtxMark, MatchContext, PosOp, PredId, Predicate, PredicateIndex, Publication,
+};
 use pxf_rng::Rng;
 use pxf_xml::{Interner, Symbol};
 
@@ -62,6 +64,82 @@ fn index_agrees_with_direct_evaluation() {
             via_index.sort_unstable();
             direct.sort_unstable();
             assert_eq!(&via_index, &direct, "pred {pred:?} path {tags:?}");
+        }
+    }
+}
+
+/// Model check of [`MatchContext`]: seeded random sequences of `begin`,
+/// `push`, `push_mark` and `pop_to_mark` against a naive model (one pair
+/// list per predicate, first-touch order, marks as full state copies).
+/// After every step `get`, `is_matched`, `matched()` and `matched_since`
+/// of every open mark must agree with the model.
+#[test]
+fn match_context_agrees_with_naive_model() {
+    #[derive(Clone)]
+    struct Model {
+        lists: Vec<Vec<(u16, u16)>>,
+        order: Vec<PredId>,
+    }
+    let mut rng = Rng::seed_from_u64(0xc7c7);
+    for _ in 0..256 {
+        let mut ctx = MatchContext::new();
+        let mut npreds = rng.gen_range(1..200usize);
+        let mut model = Model {
+            lists: vec![Vec::new(); npreds],
+            order: Vec::new(),
+        };
+        ctx.begin(npreds);
+        // Open marks, innermost last: the context's mark and the model's
+        // state when it was taken.
+        let mut marks: Vec<(CtxMark, Model)> = Vec::new();
+        for _ in 0..rng.gen_range(1..300usize) {
+            match rng.gen_range(0..10usize) {
+                0 => {
+                    // A new publication, sometimes over a larger predicate
+                    // space (the context only ever grows).
+                    npreds = if rng.gen_bool(0.3) {
+                        npreds + rng.gen_range(1..100usize)
+                    } else {
+                        rng.gen_range(1..npreds + 1)
+                    };
+                    ctx.begin(npreds);
+                    model = Model {
+                        lists: vec![Vec::new(); npreds.max(model.lists.len())],
+                        order: Vec::new(),
+                    };
+                    marks.clear();
+                }
+                1 | 2 => marks.push((ctx.push_mark(), model.clone())),
+                3 | 4 if !marks.is_empty() => {
+                    let (mark, saved) = marks.pop().unwrap();
+                    ctx.pop_to_mark(mark);
+                    model = saved;
+                }
+                _ => {
+                    // Bias towards a few hot predicates so lists grow
+                    // and roll back through several marks.
+                    let pid = if rng.gen_bool(0.5) {
+                        rng.gen_range(0..npreds.min(4))
+                    } else {
+                        rng.gen_range(0..npreds)
+                    };
+                    let pair = (rng.gen_range(0..20u16), rng.gen_range(0..20u16));
+                    ctx.push(PredId(pid as u32), pair);
+                    if model.lists[pid].is_empty() {
+                        model.order.push(PredId(pid as u32));
+                    }
+                    model.lists[pid].push(pair);
+                }
+            }
+            for (i, list) in model.lists.iter().enumerate() {
+                let pid = PredId(i as u32);
+                assert_eq!(ctx.get(pid), list.as_slice(), "get({i})");
+                assert_eq!(ctx.is_matched(pid), !list.is_empty(), "is_matched({i})");
+            }
+            assert_eq!(ctx.matched(), model.order.as_slice());
+            for (mark, saved) in &marks {
+                assert_eq!(ctx.matched_since(*mark), &model.order[saved.order.len()..]);
+            }
         }
     }
 }

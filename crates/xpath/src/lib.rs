@@ -30,4 +30,4 @@ pub use ast::{
     AttrFilter, AttrValue, Axis, CmpOp, NodeTest, Step, StepFilter, XPathExpr, TEXT_FILTER,
 };
 pub use canonical::fnv1a;
-pub use parser::{parse, XPathError};
+pub use parser::{parse, XPathError, MAX_FILTER_DEPTH};

@@ -12,9 +12,17 @@
 //! op         := '=' | '!=' | '<' | '<=' | '>' | '>='
 //! value      := INT | '"' chars '"' | '\'' chars '\''
 //! ```
+//!
+//! Path filters may nest at most [`MAX_FILTER_DEPTH`] levels deep. The
+//! parser recurses once per level, so the bound keeps a hostile
+//! expression from overflowing the stack of the thread parsing it.
 
 use crate::ast::{AttrFilter, AttrValue, Axis, CmpOp, NodeTest, Step, StepFilter, XPathExpr};
 use std::fmt;
+
+/// The deepest nesting of path filters [`parse`] accepts: `a[b]` nests
+/// one level, `a[b[c]]` two. Generated workloads nest at most one level.
+pub const MAX_FILTER_DEPTH: usize = 64;
 
 /// Error produced when parsing an XPath expression fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +56,7 @@ pub fn parse(input: &str) -> Result<XPathExpr, XPathError> {
     let mut p = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let expr = p.parse_expr()?;
@@ -61,6 +70,8 @@ pub fn parse(input: &str) -> Result<XPathExpr, XPathError> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Path filters open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -165,7 +176,14 @@ impl<'a> Parser<'a> {
                 if self.peek() == Some(b'/') {
                     return Err(self.error("nested path filters must be relative"));
                 }
+                if self.depth == MAX_FILTER_DEPTH {
+                    return Err(self.error(format!(
+                        "path filters nested deeper than {MAX_FILTER_DEPTH}"
+                    )));
+                }
+                self.depth += 1;
                 let inner = self.parse_expr()?;
+                self.depth -= 1;
                 StepFilter::Path(inner)
             };
             self.skip_ws();
@@ -461,6 +479,20 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "expected error for {bad:?}");
         }
+    }
+
+    #[test]
+    fn filter_nesting_is_capped() {
+        let nested = |depth: usize| format!("a{}b{}", "[a".repeat(depth), "]".repeat(depth));
+        let ok = parse(&nested(MAX_FILTER_DEPTH)).unwrap();
+        assert_eq!(ok.to_string(), nested(MAX_FILTER_DEPTH));
+        let err = parse(&nested(MAX_FILTER_DEPTH + 1)).unwrap_err();
+        // Rejected at the filter that would open level 65.
+        assert_eq!(err.pos, 2 * (MAX_FILTER_DEPTH + 1));
+        assert!(err.message.contains("nested deeper than 64"), "{err}");
+        // Siblings do not add up: only nesting counts.
+        let wide = format!("a{}", "[b[c]]".repeat(MAX_FILTER_DEPTH + 1));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

@@ -168,3 +168,41 @@ fn parser_limits_reject_identically_across_backends() {
         );
     }
 }
+
+#[test]
+fn subscription_depth_bomb_is_rejected_and_the_broker_keeps_serving() {
+    use pxf::broker::{Broker, BrokerConfig};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    // 30,000 nested path filters (~60 KB): the parser stops at its
+    // nesting cap instead of recursing once per level.
+    let bomb = format!("a{}b{}", "[a".repeat(30_000), "]".repeat(30_000));
+    let err = pxf::xpath::parse(&bomb).unwrap_err();
+    assert!(err.message.contains("nested deeper"), "{err}");
+
+    let broker = Broker::spawn(BrokerConfig {
+        workers: 1,
+        ..BrokerConfig::default()
+    })
+    .expect("spawn broker");
+    let sock = TcpStream::connect(broker.local_addr()).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut input = BufReader::new(sock.try_clone().unwrap());
+    let mut output = sock;
+    let mut reply = |line: &str| {
+        writeln!(output, "{line}").unwrap();
+        let mut got = String::new();
+        input.read_line(&mut got).expect("reply before timeout");
+        got
+    };
+    let rejected = reply(&format!("SUB /{bomb}"));
+    assert!(rejected.starts_with("-ERR SUB"), "{rejected:?}");
+    // The same connection, and so the same reader thread, still serves.
+    let accepted = reply("SUB //b");
+    assert!(accepted.starts_with("+SUB"), "{accepted:?}");
+    broker.shutdown();
+    broker.wait();
+}
